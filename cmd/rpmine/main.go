@@ -334,24 +334,14 @@ func mine(db *dataset.DB, min int, algo string, strat core.Strategy, recycled []
 	s := cdb.Stats()
 	fmt.Fprintf(os.Stderr, "compressed: %d groups covering %d tuples, ratio %.3f\n",
 		s.NumGroups, s.Grouped, s.Ratio)
-	if budget > 0 {
-		// memlimit drives its own serial leaf miners; it understands the
-		// serial engine names only.
-		serial := d.Name
-		if d.Base != "" {
-			serial = d.Base
-		}
-		engName := "rp-hmine"
-		if serial == "rp-naive" {
-			engName = "rp-naive"
-		}
-		return memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, Engine: engName}, sink)
-	}
 	eng, err := engine.NewEngine(algo, workers)
 	if err != nil {
 		return err
 	}
-	return eng.MineCDB(cdb, min, sink)
+	if budget > 0 {
+		return memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, Engine: eng}, sink)
+	}
+	return core.MineCDB(context.Background(), eng, cdb, min, sink)
 }
 
 // listAlgorithms renders the registry catalogue behind -list.

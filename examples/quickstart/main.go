@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -57,9 +58,10 @@ func main() {
 	fmt.Printf("compression:       %d groups cover %d/%d tuples, ratio %.2f (%v)\n",
 		s.NumGroups, s.Grouped, st.NumTx, s.Ratio, compressT.Round(time.Millisecond))
 
+	ctx := context.Background()
 	var recycled mining.Count
 	start = time.Now()
-	if err := rphmine.New().MineCDB(cdb, xiNew, &recycled); err != nil {
+	if err := core.MineCDB(ctx, rphmine.New(), cdb, xiNew, &recycled); err != nil {
 		log.Fatal(err)
 	}
 	viaRecycling := time.Since(start)

@@ -54,8 +54,6 @@ type (
 	Strategy = core.Strategy
 	// Miner is a frequent-pattern mining algorithm.
 	Miner = mining.Miner
-	// CDBMiner mines compressed databases.
-	CDBMiner = core.CDBMiner
 	// Result is one mining round's outcome — the shape shared with the
 	// session layer and the HTTP server.
 	Result = mining.Result
@@ -97,11 +95,6 @@ const (
 // recycling-only names.
 func NewMiner(a Algorithm) (Miner, error) {
 	return engine.NewMiner(string(a), 0)
-}
-
-// NewEngine returns the named compressed-database miner.
-func NewEngine(a Algorithm) (CDBMiner, error) {
-	return engine.NewEngine(string(a), 0)
 }
 
 // Algorithms lists every canonical algorithm name from the engine

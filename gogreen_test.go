@@ -75,19 +75,16 @@ func TestFacadeErrors(t *testing.T) {
 	if _, err := NewMiner(RecycleHMine); err == nil {
 		t.Error("NewMiner should reject engine names")
 	}
-	if _, err := NewEngine("bogus"); err == nil {
-		t.Error("NewEngine should reject unknown names")
-	}
-	if _, err := NewEngine(HMine); err == nil {
-		t.Error("NewEngine should reject baseline names")
-	}
 	db := testutil.PaperDB()
 	ctx := context.Background()
 	if _, err := Mine(ctx, db, "bogus", WithMinCount(2)); err == nil {
 		t.Error("Mine should propagate algorithm errors")
 	}
 	if _, err := MineRecycling(ctx, db, nil, WithMinCount(2), WithEngine("bogus")); err == nil {
-		t.Error("MineRecycling should propagate engine errors")
+		t.Error("MineRecycling should reject unknown engine names")
+	}
+	if _, err := MineRecycling(ctx, db, nil, WithMinCount(2), WithEngine(HMine)); err == nil {
+		t.Error("MineRecycling should reject baseline names as engines")
 	}
 }
 

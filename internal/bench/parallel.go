@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -45,7 +46,7 @@ func runParallel(cfg Config, w io.Writer) error {
 			})
 			rec := Timed(func() {
 				n2 = mining.Count{}
-				if err := (parallel.CDBMiner{Workers: workers}).MineCDB(cdb, min, &n2); err != nil {
+				if err := core.MineCDB(context.Background(), parallel.CDBMiner{Workers: workers}, cdb, min, &n2); err != nil {
 					panic(err)
 				}
 			})

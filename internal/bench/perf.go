@@ -309,13 +309,13 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 	// (speedup vs that miner's serial row). A newly registered encoded engine
 	// joins the grid automatically.
 	for _, d := range engine.Descriptors() {
-		if d.Kind != engine.Recycled || d.Base != "" || !d.Encoded {
+		if d.Kind != engine.Recycled || d.Par == "" {
 			continue
 		}
 		eng := d.Engine(0)
 		serial, err := measure(d.Name, 0, fresh.NsPerOp, func() error {
 			var c mining.Count
-			return eng.MineCDB(cdb, min, &c)
+			return core.MineCDB(context.Background(), eng, cdb, min, &c)
 		})
 		if err != nil {
 			return rep, err
@@ -328,7 +328,7 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 			}
 			e, err := measure(fmt.Sprintf("%s-%dw", d.Par, w), w, serial.NsPerOp, func() error {
 				var c mining.Count
-				return par.MineCDB(cdb, min, &c)
+				return core.MineCDB(context.Background(), par, cdb, min, &c)
 			})
 			if err != nil {
 				return rep, err
@@ -365,7 +365,7 @@ func PipelinePerf(cfg Config, quick bool) (PerfReport, error) {
 	fp := seed.Patterns
 
 	for _, d := range engine.Descriptors() {
-		if d.Kind != engine.Recycled || d.Base != "" || !d.Encoded {
+		if d.Kind != engine.Recycled || d.Par == "" {
 			continue
 		}
 		var serialNs float64

@@ -40,14 +40,7 @@ func (r *Recycler) engine() CDBMiner {
 
 // Mine implements mining.Miner.
 func (r *Recycler) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	cdb, err := CompressParallel(context.Background(), db, r.FP, r.Strategy, r.CompressWorkers)
-	if err != nil {
-		return err
-	}
-	return r.engine().MineCDB(cdb, minCount, sink)
+	return r.MineContext(context.TODO(), db, minCount, sink)
 }
 
 // MineContext implements mining.ContextMiner: both phases — compression and
@@ -60,7 +53,7 @@ func (r *Recycler) MineContext(ctx context.Context, db *dataset.DB, minCount int
 	if err != nil {
 		return err
 	}
-	return MineCDBContext(ctx, r.engine(), cdb, minCount, sink)
+	return MineCDB(ctx, r.engine(), cdb, minCount, sink)
 }
 
 // FilterTightened implements the easy direction of recycling (Section 2):

@@ -8,38 +8,42 @@ import (
 	"gogreen/internal/mining"
 )
 
-// CDBMiner is a frequent-pattern mining algorithm over a compressed
-// database. Implemented by the naive miner in this package and by the
-// H-Mine, FP-tree and Tree Projection adaptations in their own packages.
+// CDBMiner is the recycled-engine contract: one frequent-pattern mining
+// algorithm over a compressed database. It is implemented by the naive
+// miner in this package, by the H-Mine, FP-tree and Tree Projection
+// adaptations in their own packages, and by the parallel worker-pool
+// wrapper. MineCDB drives any engine over a whole compressed database.
 type CDBMiner interface {
 	// Name identifies the engine (e.g. "rp-hmine").
 	Name() string
-	// MineCDB finds all frequent patterns of the database cdb represents at
-	// absolute support minCount, streaming them into sink.
-	MineCDB(cdb *CDB, minCount int, sink mining.Sink) error
+	// NewScratch returns the engine's reusable working memory. A scratch is
+	// owned by one goroutine at a time, and every call reusing it should
+	// pass the same F-list.
+	NewScratch() any
+	// MineEncoded mines a rank-encoded (projected) compressed database whose
+	// patterns all extend prefix (in rank space) at absolute support
+	// minCount, streaming them into sink: Figure 3's RP-InMemory. A nil
+	// scratch means "allocate one". The engine is done with blocks, loose
+	// and prefix when the call returns. Mining aborts promptly when ctx is
+	// cancelled or times out, returning the context's error; minCount < 1
+	// returns mining.ErrBadMinSupport.
+	MineEncoded(ctx context.Context, scratch any, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
 }
 
-// ContextCDBMiner is a CDBMiner supporting cooperative cancellation:
-// MineCDBContext aborts promptly when ctx is cancelled or its deadline
-// expires, returning the context's error.
-type ContextCDBMiner interface {
-	CDBMiner
-	MineCDBContext(ctx context.Context, cdb *CDB, minCount int, sink mining.Sink) error
-}
-
-// MineCDBContext runs engine under ctx when it supports cancellation, and
-// otherwise falls back to the blocking MineCDB bracketed by boundary checks.
-func MineCDBContext(ctx context.Context, engine CDBMiner, cdb *CDB, minCount int, sink mining.Sink) error {
-	if cm, ok := engine.(ContextCDBMiner); ok {
-		return cm.MineCDBContext(ctx, cdb, minCount, sink)
+// MineCDB finds all frequent patterns of the database cdb represents at
+// absolute support minCount with engine eng, streaming them into sink: it
+// builds the F-list, rank-encodes cdb once, and mines the encoding under an
+// empty prefix.
+func MineCDB(ctx context.Context, eng CDBMiner, cdb *CDB, minCount int, sink mining.Sink) error {
+	if minCount < 1 {
+		return mining.ErrBadMinSupport
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	flist := cdb.FList(minCount)
+	if flist.Len() == 0 {
+		return ctx.Err()
 	}
-	if err := engine.MineCDB(cdb, minCount, sink); err != nil {
-		return err
-	}
-	return ctx.Err()
+	blocks, loose := EncodeCDB(cdb, flist)
+	return eng.MineEncoded(ctx, nil, blocks, loose, flist, nil, minCount, sink)
 }
 
 // Naive is the paper's naive recycling miner (Figure 3): physical projected
@@ -97,50 +101,31 @@ func EncodeCDB(cdb *CDB, flist *mining.FList) (blocks []Block, loose [][]dataset
 	return blocks, loose
 }
 
-// MineCDB implements CDBMiner.
-func (n Naive) MineCDB(cdb *CDB, minCount int, sink mining.Sink) error {
-	return n.mineCDB(cdb, minCount, sink, nil)
-}
+// NewScratch implements CDBMiner: the naive miner reuses only its decode
+// buffer across calls.
+func (Naive) NewScratch() any { return &rpCtx{} }
 
-// MineCDBContext implements ContextCDBMiner: like MineCDB, but aborts
-// promptly (checked at every node of the projection recursion) when ctx is
-// cancelled or times out.
-func (n Naive) MineCDBContext(ctx context.Context, cdb *CDB, minCount int, sink mining.Sink) error {
+// MineEncoded implements CDBMiner: the projection recursion checks ctx at
+// every node.
+func (n Naive) MineEncoded(ctx context.Context, scratch any, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+	if minCount < 1 {
+		return mining.ErrBadMinSupport
+	}
 	cancel := mining.NewCanceller(ctx, 0)
 	if err := cancel.Err(); err != nil {
 		return err
 	}
-	if err := n.mineCDB(cdb, minCount, sink, cancel); err != nil {
-		return err
+	m, _ := scratch.(*rpCtx)
+	if m == nil {
+		m = &rpCtx{}
 	}
-	return cancel.Err()
-}
-
-func (n Naive) mineCDB(cdb *CDB, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
+	if cap(m.decoded) < flist.Len() {
+		m.decoded = make([]dataset.Item, flist.Len())
 	}
-	flist := cdb.FList(minCount)
-	if flist.Len() == 0 {
-		return nil
-	}
-	blocks, loose := EncodeCDB(cdb, flist)
-	m := &rpCtx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len()), noSingle: n.DisableSingleGroup, cancel: cancel}
-	m.mine(blocks, loose, nil)
-	return nil
-}
-
-// MineEncoded mines an already rank-encoded (projected) compressed database
-// whose patterns all extend prefix (given in rank space). Used by the
-// memory-limited driver to mine disk partitions (Figure 3's RP-InMemory on
-// a projected database).
-func (n Naive) MineEncoded(blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	m := &rpCtx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len()), noSingle: n.DisableSingleGroup}
+	m.flist, m.min, m.sink, m.noSingle, m.cancel = flist, minCount, sink, n.DisableSingleGroup, cancel
 	m.mine(blocks, loose, append([]dataset.Item(nil), prefix...))
-	return nil
+	m.sink, m.cancel = nil, nil
+	return cancel.Err()
 }
 
 type rpCtx struct {

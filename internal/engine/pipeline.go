@@ -242,14 +242,6 @@ func (p *Pipeline) Recycler(fp []mining.Pattern) (mining.Miner, string, error) {
 	return &core.Recycler{FP: fp, Strategy: p.Strategy, Engine: eng, CompressWorkers: p.CompressWorkers}, name, nil
 }
 
-// NewRecycler assembles a two-phase recycling miner around an explicit
-// engine instance. It exists for tests and ablations that drive configured
-// engine values (e.g. a Naive miner with the Lemma 3.1 shortcut disabled);
-// production surfaces use Pipeline instead.
-func NewRecycler(fp []mining.Pattern, strat core.Strategy, eng core.CDBMiner) *core.Recycler {
-	return &core.Recycler{FP: fp, Strategy: strat, Engine: eng}
-}
-
 // collect returns sink unchanged when non-nil, and otherwise a fresh
 // Collector whose patterns the caller copies into the Run.
 func collect(sink mining.Sink) (mining.Sink, *mining.Collector) {
@@ -327,7 +319,7 @@ func (p *Pipeline) MineRecycling(ctx context.Context, db *dataset.DB, fp []minin
 
 	mineStart := time.Now()
 	p.observeStart(PhaseMine, d.Name)
-	if err := core.MineCDBContext(ctx, eng, cdb, minCount, out); err != nil {
+	if err := core.MineCDB(ctx, eng, cdb, minCount, out); err != nil {
 		return Run{}, err
 	}
 	p.observeEnd(PhaseMine, d.Name, time.Since(mineStart))

@@ -8,7 +8,7 @@
 // The facade (package gogreen), the HTTP server, the interactive session
 // layer, the incremental maintainer, the two-step miner, the bench harness
 // and both CLIs all construct runs through this package instead of
-// assembling core.Recycler/parallel.Wrap/worker-count mappings by hand, so
+// assembling core.Recycler/parallel wrappers/worker-count mappings by hand, so
 // a new algorithm or knob lands here once and appears everywhere.
 package engine
 
@@ -66,22 +66,11 @@ type Descriptor struct {
 	// Base is the serial algorithm a par-* variant derives from; empty for
 	// serial entries.
 	Base string
-	// Par names the derived parallel variant, empty when the algorithm
-	// cannot run on the worker pool (e.g. apriori, rp-naive).
+	// Par names the derived parallel variant. Serial entries declare it;
+	// it is empty when the algorithm gets no worker-pool variant (apriori,
+	// the fresh baselines other than H-Mine, and rp-naive, the paper's
+	// unoptimized reference).
 	Par string
-	// Context reports native cooperative cancellation (a MineContext /
-	// MineCDBContext entry point); miners without it still honor deadlines
-	// through boundary checks.
-	Context bool
-	// Encoded reports that a recycled engine implements the rank-encoded
-	// entry points (parallel.EncodedCDBMiner) the worker pool drives.
-	Encoded bool
-	// Pooled reports that the engine (or, for par-* variants, the wrapped
-	// serial engine) carries reusable working memory across calls
-	// (parallel.PooledEncodedMiner): the worker pool threads one scratch
-	// per worker through its tasks, so steady-state dispatch allocates
-	// (near) nothing.
-	Pooled bool
 
 	// Miner constructs the fresh miner (Kind == Fresh). The workers
 	// argument follows the parallel package's convention (0 = GOMAXPROCS)
@@ -103,7 +92,7 @@ func init() {
 	serial := []Descriptor{
 		{Name: "apriori", Kind: Fresh, Summary: "level-wise candidate generation; the test oracle",
 			Miner: func(int) mining.Miner { return apriori.New() }},
-		{Name: "hmine", Kind: Fresh, Context: true, Summary: "H-Mine: hyper-structure, pseudo-projection",
+		{Name: "hmine", Kind: Fresh, Par: "par-hmine", Summary: "H-Mine: hyper-structure, pseudo-projection",
 			Miner: func(int) mining.Miner { return hmine.New() }},
 		{Name: "fptree", Kind: Fresh, Summary: "FP-growth: prefix-tree projection",
 			Miner: func(int) mining.Miner { return fptree.New() }},
@@ -111,31 +100,20 @@ func init() {
 			Miner: func(int) mining.Miner { return treeproj.New() }},
 		{Name: "eclat", Kind: Fresh, Summary: "Eclat: vertical tid-list intersection",
 			Miner: func(int) mining.Miner { return eclat.New() }},
-		{Name: "rp-naive", Kind: Recycled, Context: true, Summary: "naive RP-Mine over the compressed DB (Figure 3)",
+		{Name: "rp-naive", Kind: Recycled, Summary: "naive RP-Mine over the compressed DB (Figure 3)",
 			Engine: func(int) core.CDBMiner { return core.Naive{} }},
-		{Name: "rp-hmine", Kind: Recycled, Context: true, Encoded: true, Summary: "Recycle-HM: H-Mine over the RP-Struct (§4.1)",
+		{Name: "rp-hmine", Kind: Recycled, Par: "par-rp-hmine", Summary: "Recycle-HM: H-Mine over the RP-Struct (§4.1)",
 			Engine: func(int) core.CDBMiner { return rphmine.New() }},
-		{Name: "rp-fptree", Kind: Recycled, Context: true, Encoded: true, Summary: "Recycle-FP: FP-growth with group-head items",
+		{Name: "rp-fptree", Kind: Recycled, Par: "par-rp-fptree", Summary: "Recycle-FP: FP-growth with group-head items",
 			Engine: func(int) core.CDBMiner { return rpfptree.New() }},
-		{Name: "rp-treeproj", Kind: Recycled, Context: true, Encoded: true, Summary: "Recycle-TP: Tree Projection over compressed sets",
+		{Name: "rp-treeproj", Kind: Recycled, Par: "par-rp-treeproj", Summary: "Recycle-TP: Tree Projection over compressed sets",
 			Engine: func(int) core.CDBMiner { return rptreeproj.New() }},
 	}
 
-	// Pooled is detected, not declared: an engine advertises scratch reuse
-	// by implementing parallel.PooledEncodedMiner, and the flag must never
-	// drift from what the worker pool actually sees.
-	for i := range serial {
-		if serial[i].Kind == Recycled && serial[i].Encoded {
-			_, pooled := serial[i].Engine(0).(parallel.PooledEncodedMiner)
-			serial[i].Pooled = pooled
-		}
-	}
-
 	var derived []Descriptor
-	for i := range serial {
-		if par, ok := derive(serial[i]); ok {
-			serial[i].Par = par.Name
-			derived = append(derived, par)
+	for _, d := range serial {
+		if d.Par != "" {
+			derived = append(derived, derive(d))
 		}
 	}
 	registry = append(serial, derived...)
@@ -144,28 +122,24 @@ func init() {
 	}
 }
 
-// derive builds the par-* variant of a serial descriptor when the worker
-// pool can drive it: the fresh H-Mine baseline (parallel.Miner is its
-// pool-shaped form) and every recycled engine with the encoded entry
-// points. The variant's constructors take a pool worker count
-// (0 = GOMAXPROCS).
-func derive(d Descriptor) (Descriptor, bool) {
-	switch {
-	case d.Kind == Fresh && d.Name == "hmine":
+// derive builds the par-* variant a serial descriptor declares: for the
+// fresh H-Mine baseline, parallel.Miner (its pool-shaped form); for a
+// recycled engine, parallel.CDBMiner around it. The variant's constructors
+// take a pool worker count (0 = GOMAXPROCS).
+func derive(d Descriptor) Descriptor {
+	if d.Kind == Fresh {
 		return Descriptor{
-			Name: "par-hmine", Kind: Fresh, Base: d.Name, Context: true, Pooled: true,
+			Name: d.Par, Kind: Fresh, Base: d.Name,
 			Summary: "H-Mine on a worker pool, one top-level subtree per task",
 			Miner:   func(w int) mining.Miner { return parallel.Miner{Workers: w} },
-		}, true
-	case d.Kind == Recycled && d.Encoded:
-		serial := d.Engine
-		return Descriptor{
-			Name: "par-" + d.Name, Kind: Recycled, Base: d.Name, Context: true, Encoded: true, Pooled: d.Pooled,
-			Summary: d.Name + " subtrees fanned out to a worker pool",
-			Engine:  func(w int) core.CDBMiner { return parallel.Wrap(serial(0), w) },
-		}, true
+		}
 	}
-	return Descriptor{}, false
+	serial := d.Engine
+	return Descriptor{
+		Name: d.Par, Kind: Recycled, Base: d.Name,
+		Summary: d.Name + " subtrees fanned out to a worker pool",
+		Engine:  func(w int) core.CDBMiner { return parallel.CDBMiner{Workers: w, Engine: serial(0)} },
+	}
 }
 
 // Names returns every canonical algorithm name in presentation order:

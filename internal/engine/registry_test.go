@@ -163,34 +163,6 @@ func TestRegistryInvariants(t *testing.T) {
 			t.Errorf("%s: recycled constructor errs = (%v, %v)", name, minerErr, engineErr)
 		}
 	}
-	// Capability flags must not drift from what the constructors return:
-	// Encoded ⇔ the engine implements the rank-encoded entry points,
-	// Pooled ⇔ it additionally carries reusable scratch (for par-* variants,
-	// the flag describes the wrapped serial engine). rp-fptree further
-	// supports shared-tree task mining, which the wrapper detects by
-	// interface — pin that too so a refactor can't silently lose it.
-	for _, name := range names {
-		d, _ := engine.Lookup(name)
-		if d.Kind != engine.Recycled {
-			continue
-		}
-		eng := d.Engine(0)
-		if d.Base != "" {
-			b, _ := engine.Lookup(d.Base)
-			eng = b.Engine(0) // flags describe the serial engine under the wrapper
-		}
-		_, encoded := eng.(parallel.EncodedCDBMiner)
-		if encoded != d.Encoded {
-			t.Errorf("%s: Encoded=%v but engine implements EncodedCDBMiner=%v", name, d.Encoded, encoded)
-		}
-		_, pooled := eng.(parallel.PooledEncodedMiner)
-		if pooled != d.Pooled {
-			t.Errorf("%s: Pooled=%v but engine implements PooledEncodedMiner=%v", name, d.Pooled, pooled)
-		}
-		if d.Encoded && !d.Pooled {
-			t.Errorf("%s: encoded engine without scratch reuse; pool dispatch would allocate per task", name)
-		}
-	}
 	for _, name := range []string{"rp-fptree", "par-rp-fptree"} {
 		d, _ := engine.Lookup(name)
 		base := d

@@ -34,7 +34,7 @@ type suffix struct {
 
 // Mine implements mining.Miner.
 func (*Miner) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
-	return mineDB(db, minCount, sink, nil)
+	return mineDB(context.TODO(), db, minCount, sink)
 }
 
 // MineContext implements mining.ContextMiner: like Mine, but aborts promptly
@@ -42,78 +42,54 @@ func (*Miner) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
 // recursion) when ctx is cancelled or times out, returning the context's
 // error.
 func (*Miner) MineContext(c context.Context, db *dataset.DB, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := mineDB(db, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
+	return mineDB(c, db, minCount, sink)
 }
 
-func mineDB(db *dataset.DB, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
+func mineDB(c context.Context, db *dataset.DB, minCount int, sink mining.Sink) error {
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
 	}
+	if err := c.Err(); err != nil {
+		return err
+	}
 	flist := mining.BuildFList(db, minCount)
 	if flist.Len() == 0 {
-		return nil
+		return c.Err()
 	}
 	// The H-struct: rank-encoded transactions (items sorted by ascending
 	// global support). This is the only copy of the data; everything below
 	// works through suffix pointers.
 	hs := flist.EncodeDB(db)
 
-	return mineProjected(hs, flist, nil, minCount, sink, cancel, nil)
-}
-
-// MineProjected mines an already rank-encoded (projected) database whose
-// patterns all extend prefix (in rank space). Used by the memory-limited
-// driver to mine disk partitions with the H-Mine engine.
-func MineProjected(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	return mineProjected(tx, flist, prefix, minCount, sink, nil, nil)
-}
-
-// MineProjectedContext is MineProjected with cooperative cancellation: the
-// recursion aborts promptly when ctx is cancelled or times out, returning the
-// context's error. Used by the parallel miner, whose workers each mine one
-// independent subtree under the caller's context.
-func MineProjectedContext(c context.Context, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	return mineProjected(tx, flist, prefix, minCount, sink, cancel, nil)
+	return MineProjected(c, nil, hs, flist, nil, minCount, sink)
 }
 
 // Scratch is reusable H-Mine working memory: the level pool, decode buffer,
 // and suffix/prefix scratch a mine builds up. A parallel worker holds one
-// Scratch and threads it through consecutive MineProjectedScratch calls, so
+// Scratch and threads it through consecutive MineProjected calls, so
 // steady-state task dispatch costs (near) zero allocations. A Scratch is
 // owned by one goroutine at a time and must not be shared concurrently.
 type Scratch struct {
 	m ctx
 }
 
-// NewScratch returns an empty Scratch ready for MineProjectedScratch.
+// NewScratch returns an empty Scratch ready for MineProjected.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// MineProjectedScratch is MineProjectedContext mining through sc's recycled
-// buffers. All calls reusing one Scratch must pass the same F-list width
-// (the pooled header tables are width-sized); a width change resets the
-// pool.
-func MineProjectedScratch(c context.Context, sc *Scratch, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+// MineProjected mines an already rank-encoded (projected) database whose
+// patterns all extend prefix (in rank space), through sc's recycled buffers
+// (nil sc means "allocate one"). The recursion aborts promptly when ctx is
+// cancelled or times out, returning the context's error. Used by the
+// parallel miner's workers and by memlimit to mine its disk partitions.
+// All calls reusing one Scratch should pass the same F-list width (the
+// pooled header tables are width-sized); a width change resets the pool.
+func MineProjected(c context.Context, sc *Scratch, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+	if minCount < 1 {
+		return mining.ErrBadMinSupport
+	}
 	cancel := mining.NewCanceller(c, 0)
 	if err := cancel.Err(); err != nil {
 		return err
-	}
-	return mineProjected(tx, flist, prefix, minCount, sink, cancel, sc)
-}
-
-func mineProjected(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller, sc *Scratch) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
 	}
 	if sc == nil {
 		sc = &Scratch{}

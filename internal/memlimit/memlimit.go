@@ -13,6 +13,7 @@
 package memlimit
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -37,9 +38,9 @@ type Config struct {
 	// TempDir is the directory for partition spill files; "" means the
 	// system temp dir.
 	TempDir string
-	// Engine selects the leaf miner for compressed partitions: "rp-hmine"
-	// (default) or "rp-naive".
-	Engine string
+	// Engine mines the compressed partitions that fit the budget; nil
+	// means Recycle-HM.
+	Engine core.CDBMiner
 }
 
 // bytesPerItem is the in-memory cost of one stored item cell (the item
@@ -138,11 +139,15 @@ func MineDB(db *dataset.DB, minCount int, cfg Config, sink mining.Sink) error {
 	return d.mineDB(tx, flist, nil, minCount, sink)
 }
 
-// driver owns the temp directory and partition numbering of one run.
+// driver owns the temp directory and partition numbering of one run, and
+// the leaf engine with the scratch every leaf mine reuses (all partitions
+// share one F-list).
 type driver struct {
-	cfg  Config
-	dir  string
-	next int
+	cfg     Config
+	dir     string
+	next    int
+	eng     core.CDBMiner
+	scratch any
 }
 
 func newDriver(cfg Config) (*driver, error) {
@@ -150,7 +155,11 @@ func newDriver(cfg Config) (*driver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memlimit: %w", err)
 	}
-	return &driver{cfg: cfg, dir: dir}, nil
+	eng := cfg.Engine
+	if eng == nil {
+		eng = rphmine.New()
+	}
+	return &driver{cfg: cfg, dir: dir, eng: eng, scratch: eng.NewScratch()}, nil
 }
 
 func (d *driver) close() { os.RemoveAll(d.dir) }
@@ -163,10 +172,7 @@ func (d *driver) partPath() string {
 // mineCDB handles one (projected) compressed database.
 func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if EstimateCDBBytes(blocks, loose) <= d.cfg.Budget {
-		if d.cfg.Engine == "rp-naive" {
-			return core.Naive{}.MineEncoded(blocks, loose, flist, prefix, minCount, sink)
-		}
-		return rphmine.Miner{}.MineEncoded(blocks, loose, flist, prefix, minCount, sink)
+		return d.eng.MineEncoded(context.TODO(), d.scratch, blocks, loose, flist, prefix, minCount, sink)
 	}
 
 	// Over budget: parallel-project to disk, one partition per frequent
@@ -285,7 +291,7 @@ func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *min
 // mineDB handles one (projected) uncompressed database.
 func (d *driver) mineDB(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if EstimateTxBytes(tx) <= d.cfg.Budget {
-		return hmine.MineProjected(tx, flist, prefix, minCount, sink)
+		return hmine.MineProjected(context.TODO(), nil, tx, flist, prefix, minCount, sink)
 	}
 	counts := make(map[dataset.Item]int)
 	for _, t := range tx {

@@ -1,6 +1,7 @@
 package memlimit_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,16 +9,18 @@ import (
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
+	"gogreen/internal/engine"
 	"gogreen/internal/memlimit"
 	"gogreen/internal/mining"
+	"gogreen/internal/rphmine"
 	"gogreen/internal/testutil"
 )
 
 // mineLimited runs the memory-limited compressed miner and returns the set.
-func mineLimited(t *testing.T, cdb *core.CDB, min int, budget int64, engine string) mining.PatternSet {
+func mineLimited(t *testing.T, cdb *core.CDB, min int, budget int64, eng core.CDBMiner) mining.PatternSet {
 	t.Helper()
 	var c mining.Collector
-	if err := memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, TempDir: t.TempDir(), Engine: engine}, &c); err != nil {
+	if err := memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, TempDir: t.TempDir(), Engine: eng}, &c); err != nil {
 		t.Fatalf("MineCDB(budget=%d): %v", budget, err)
 	}
 	s, err := c.Set()
@@ -38,13 +41,70 @@ func TestTinyBudgetMatchesOracle(t *testing.T) {
 		for _, min := range []int{2, 3} {
 			want := testutil.Oracle(t, db, min)
 			for _, budget := range []int64{1 << 30, 4096, 512} {
-				for _, engine := range []string{"rp-hmine", "rp-naive"} {
-					got := mineLimited(t, cdb, min, budget, engine)
+				for _, eng := range []core.CDBMiner{rphmine.New(), core.Naive{}} {
+					got := mineLimited(t, cdb, min, budget, eng)
 					if !got.Equal(want) {
 						t.Fatalf("budget=%d engine=%s min=%d: %v",
-							budget, engine, min, got.Diff(want, 10))
+							budget, eng.Name(), min, got.Diff(want, 10))
 					}
 				}
+			}
+		}
+	}
+}
+
+// countingEngine wraps a leaf engine and counts the partitions it mines.
+type countingEngine struct {
+	core.CDBMiner
+	calls *int
+}
+
+func (e countingEngine) MineEncoded(ctx context.Context, scratch any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+	*e.calls++
+	return e.CDBMiner.MineEncoded(ctx, scratch, blocks, loose, flist, prefix, minCount, sink)
+}
+
+// TestConfiguredEngineMinesLeaves proves Config.Engine is the engine that
+// mines the in-budget partitions: a counting wrapper sees every leaf, and
+// the result still matches the oracle.
+func TestConfiguredEngineMinesLeaves(t *testing.T) {
+	db := testutil.PaperDB()
+	cdb := core.Compress(db, testutil.Oracle(t, db, 3).Slice(), core.MCP)
+	want := testutil.Oracle(t, db, 2)
+	for _, budget := range []int64{1 << 30, 64} {
+		calls := 0
+		got := mineLimited(t, cdb, 2, budget, countingEngine{CDBMiner: core.Naive{}, calls: &calls})
+		if !got.Equal(want) {
+			t.Fatalf("budget=%d: %v", budget, got.Diff(want, 20))
+		}
+		if calls == 0 {
+			t.Errorf("budget=%d: the configured engine mined no partition", budget)
+		}
+		if budget == 64 && calls < 2 {
+			t.Errorf("budget=64: the configured engine mined %d partitions, want several", calls)
+		}
+	}
+}
+
+// TestRegistryEnginesTinyBudget runs every recycled registry engine, serial
+// and par-*, as the leaf miner under budgets that force deep partitioning;
+// every result must match the Apriori oracle.
+func TestRegistryEnginesTinyBudget(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	db := testutil.RandomDB(r, 90, 12, 7)
+	cdb := core.Compress(db, testutil.Oracle(t, db, 5).Slice(), core.MCP)
+	want := testutil.Oracle(t, db, 2)
+	for _, d := range engine.Descriptors() {
+		if d.Kind != engine.Recycled {
+			continue
+		}
+		eng, err := engine.NewEngine(d.Name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{4096, 512} {
+			if got := mineLimited(t, cdb, 2, budget, eng); !got.Equal(want) {
+				t.Errorf("%s budget=%d: %v", d.Name, budget, got.Diff(want, 10))
 			}
 		}
 	}
@@ -82,7 +142,7 @@ func TestPaperExampleUnderLimit(t *testing.T) {
 	fp := testutil.Oracle(t, db, 3).Slice()
 	cdb := core.Compress(db, fp, core.MCP)
 	want := testutil.Oracle(t, db, 2)
-	got := mineLimited(t, cdb, 2, 64, "rp-hmine")
+	got := mineLimited(t, cdb, 2, 64, nil)
 	if !got.Equal(want) {
 		t.Fatalf("paper example under 64B budget: %v", got.Diff(want, 20))
 	}

@@ -1,6 +1,6 @@
 // White-box allocation regression tests for the allocation-lean dispatch
-// path: the batched emission sink and the per-worker scratch mining entry
-// points must stop allocating once their buffers have warmed up — the
+// path: the batched emission sink and scratch-reusing MineEncoded calls
+// must stop allocating once their buffers have warmed up — the
 // steady-state property the par-* 1-worker speedup guardrail rests on.
 package parallel
 
@@ -69,9 +69,9 @@ func allocDB() *dataset.DB {
 	})
 }
 
-// TestScratchMiningAllocs gates the scratch entry points of all three
-// recycled miners: mining the same encoded database repeatedly through one
-// scratch must settle to (near) zero allocations per run. The bound is a
+// TestScratchMiningAllocs gates scratch reuse in all three recycled
+// miners: mining the same encoded database repeatedly through one
+// MineEncoded scratch must settle to (near) zero allocations per run. The bound is a
 // handful, not strictly zero, to absorb map-internal churn; the pre-scratch
 // baseline was thousands per mine.
 func TestScratchMiningAllocs(t *testing.T) {
@@ -82,12 +82,12 @@ func TestScratchMiningAllocs(t *testing.T) {
 	blocks, loose := core.EncodeCDB(cdb, flist)
 	ctx := context.Background()
 
-	for _, eng := range []PooledEncodedMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
+	for _, eng := range []core.CDBMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
 		t.Run(eng.Name(), func(t *testing.T) {
 			sc := eng.NewScratch()
 			var count mining.Count
 			run := func() {
-				if err := eng.MineEncodedScratch(ctx, sc, blocks, loose, flist, nil, min, &count); err != nil {
+				if err := eng.MineEncoded(ctx, sc, blocks, loose, flist, nil, min, &count); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,17 +117,19 @@ func TestOneWorkerDispatchAllocs(t *testing.T) {
 	cdb := core.Compress(db, nil, core.MCP)
 	const min = 2
 
-	for _, eng := range []EncodedCDBMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
+	ctx := context.Background()
+
+	for _, eng := range []core.CDBMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
 		t.Run(eng.Name(), func(t *testing.T) {
 			var count mining.Count
 			serial := testing.AllocsPerRun(20, func() {
-				if err := eng.MineCDB(cdb, min, &count); err != nil {
+				if err := core.MineCDB(ctx, eng, cdb, min, &count); err != nil {
 					t.Fatal(err)
 				}
 			})
 			wrapped := CDBMiner{Workers: 1, Engine: eng}
 			par := testing.AllocsPerRun(20, func() {
-				if err := wrapped.MineCDB(cdb, min, &count); err != nil {
+				if err := core.MineCDB(ctx, wrapped, cdb, min, &count); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -11,7 +11,6 @@ import (
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
-	"gogreen/internal/engine"
 	"gogreen/internal/gen"
 	"gogreen/internal/hmine"
 	"gogreen/internal/mining"
@@ -40,8 +39,8 @@ func workerGrid() []int {
 }
 
 // engines lists the three recycled miners the parallel wrapper covers.
-func engines() []parallel.EncodedCDBMiner {
-	return []parallel.EncodedCDBMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()}
+func engines() []core.CDBMiner {
+	return []core.CDBMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()}
 }
 
 // TestParallelDifferentialPresets proves every parallel wrapper emits the
@@ -80,14 +79,14 @@ func TestParallelDifferentialPresets(t *testing.T) {
 
 			for _, eng := range engines() {
 				serial := testutil.MineSet(t,
-					engine.NewRecycler(fp, core.MCP, eng), tc.db, mineMin)
+					&core.Recycler{FP: fp, Strategy: core.MCP, Engine: eng}, tc.db, mineMin)
 				if !serial.Equal(truth) {
 					t.Fatalf("serial %s disagrees with hmine: %v", eng.Name(), serial.Diff(truth, 8))
 				}
 				for _, w := range workerGrid() {
 					wrapped := parallel.CDBMiner{Workers: w, Engine: eng}
 					got := testutil.MineSet(t,
-						engine.NewRecycler(fp, core.MCP, wrapped), tc.db, mineMin)
+						&core.Recycler{FP: fp, Strategy: core.MCP, Engine: wrapped}, tc.db, mineMin)
 					if !got.Equal(serial) {
 						t.Errorf("%s workers=%d disagrees with serial %s: %v",
 							wrapped.Name(), w, eng.Name(), got.Diff(serial, 8))
@@ -98,22 +97,17 @@ func TestParallelDifferentialPresets(t *testing.T) {
 	}
 }
 
-// TestParallelWrapperNames pins the wrapper naming scheme and Wrap's
-// pass-through for engines without encoded entry points.
+// TestParallelWrapperNames pins the wrapper naming scheme.
 func TestParallelWrapperNames(t *testing.T) {
 	want := map[string]bool{"par-rp-hmine": true, "par-rp-fptree": true, "par-rp-treeproj": true}
 	for _, eng := range engines() {
-		wrapped := parallel.Wrap(eng, 2)
+		wrapped := parallel.CDBMiner{Workers: 2, Engine: eng}
 		if !want[wrapped.Name()] {
-			t.Errorf("Wrap(%s).Name() = %q", eng.Name(), wrapped.Name())
+			t.Errorf("CDBMiner{Engine: %s}.Name() = %q", eng.Name(), wrapped.Name())
 		}
 	}
 	if got := (parallel.CDBMiner{}).Name(); got != "par-rp-hmine" {
 		t.Errorf("default CDBMiner name = %q, want par-rp-hmine", got)
-	}
-	naive := core.Naive{}
-	if wrapped := parallel.Wrap(naive, 2); wrapped != core.CDBMiner(naive) {
-		t.Errorf("Wrap(rp-naive) = %T, want pass-through", wrapped)
 	}
 }
 
@@ -154,7 +148,7 @@ func TestParallelCancelMidMine(t *testing.T) {
 		wrappers = append(wrappers, wrapper{
 			name: w.Name(),
 			mine: func(ctx context.Context, sink mining.Sink) error {
-				return w.MineCDBContext(ctx, cdb, 1, sink)
+				return core.MineCDB(ctx, w, cdb, 1, sink)
 			},
 		})
 	}
@@ -260,7 +254,7 @@ func TestParallelSinkCopyContract(t *testing.T) {
 			pw := parallel.CDBMiner{Workers: w, Engine: eng}
 			wrappers = append(wrappers, wrapper{
 				name: fmt.Sprintf("%s-%dw", pw.Name(), w),
-				mine: func(sink mining.Sink) error { return pw.MineCDB(cdb, 1, sink) },
+				mine: func(sink mining.Sink) error { return core.MineCDB(context.Background(), pw, cdb, 1, sink) },
 			})
 		}
 	}

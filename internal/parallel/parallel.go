@@ -9,16 +9,20 @@
 // (Recycle-HM, Recycle-FP, Recycle-TP) can be wrapped, and the recycling
 // advantage carries over per worker.
 //
+// The compressed-database wrapper, CDBMiner, is itself a core.CDBMiner: it
+// mines any rank-encoded projection under any prefix, so it composes
+// wherever a serial engine does.
+//
 // When the F-list is short relative to the worker count (dense datasets
 // have few top-level items), tasks split one level deeper: the wrapper
 // emits the two-item patterns itself and hands each {r, r2} subtree to the
 // pool, so skewed top-level subtrees no longer serialize on one worker.
 //
 // Task dispatch is allocation-lean: every worker owns a scratch state — the
-// engine's recycled working memory (PooledEncodedMiner), a pooled projection
-// buffer, and a local emission batch flushed to the shared sink under one
-// lock acquisition per task — so the steady path costs (near) zero
-// allocations per task and no per-pattern mutex traffic. Engines that
+// engine's recycled working memory (core.CDBMiner.NewScratch), a pooled
+// projection buffer, and a local emission batch flushed to the shared sink
+// under one lock acquisition per task — so the steady path costs (near)
+// zero allocations per task and no per-pattern mutex traffic. Engines that
 // implement SharedTaskMiner (Recycle-FP) skip per-task re-projection
 // entirely: the wrapper builds one read-only structure and fans out
 // top-level items against it, preserving the prefix sharing that per-task
@@ -35,6 +39,7 @@ package parallel
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"gogreen/internal/core"
@@ -130,7 +135,7 @@ func (m Miner) mine(ctx context.Context, db *dataset.DB, minCount int, sink mini
 				ws.proj = proj
 				ws.prefix = append(ws.prefix[:0], dataset.Item(r))
 				if !split {
-					return hmine.MineProjectedScratch(c, ws.scratch, proj, flist, ws.prefix, minCount, &ws.batch)
+					return hmine.MineProjected(c, ws.scratch, proj, flist, ws.prefix, minCount, &ws.batch)
 				}
 				return splitProjected(c, p, states, proj, flist, ws.prefix, minCount, &ws.batch)
 			})
@@ -175,7 +180,7 @@ func splitProjected(c context.Context, p *pool, states []*hWorkerState, proj [][
 		p.submit(func(c context.Context, wid int) error {
 			ws := states[wid]
 			defer ws.batch.flush()
-			return hmine.MineProjectedScratch(c, ws.scratch, sub, flist, subPrefix, minCount, &ws.batch)
+			return hmine.MineProjected(c, ws.scratch, sub, flist, subPrefix, minCount, &ws.batch)
 		})
 	}
 	return nil
@@ -233,75 +238,44 @@ func rankIndex(t []dataset.Item, r dataset.Item) int {
 	return -1
 }
 
-// EncodedCDBMiner is the engine contract the parallel CDB wrapper drives:
-// a compressed-database miner that can also mine an already rank-encoded
-// projection under a prefix, with and without a context. Satisfied by the
-// Recycle-HM, Recycle-FP and Recycle-TP engines.
-type EncodedCDBMiner interface {
-	core.CDBMiner
-	MineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
-	MineEncodedContext(ctx context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
-}
-
-// PooledEncodedMiner is an EncodedCDBMiner whose working memory survives
-// across calls: NewScratch allocates it once per worker, and
-// MineEncodedScratch mines through it. A scratch is owned by one goroutine
-// at a time; the engine must be done with the caller's projection when the
-// call returns (so the wrapper may reuse its projection buffers), and all
-// calls reusing one scratch should pass the same F-list. All three rp-*
-// engines satisfy this.
-type PooledEncodedMiner interface {
-	EncodedCDBMiner
-	NewScratch() any
-	MineEncodedScratch(ctx context.Context, scratch any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
-}
-
-// SharedTaskMiner is a PooledEncodedMiner that can decompose a mine into
-// per-item tasks against one shared read-only structure instead of per-task
-// re-projection. PrepareShared builds the structure and returns the task
-// items (a nil shared value means a whole-projection shortcut applies and
-// the caller should mine serially via MineEncodedScratch); MineSharedTask
-// mines one task, emitting the task item's own pattern too, and is safe to
-// call concurrently with distinct scratches against one shared value.
-// Recycle-FP satisfies this: rebuilding a prefix tree per task destroyed
-// the prefix sharing that makes FP-growth fast, so its parallel mode builds
-// the tree once.
+// SharedTaskMiner is the one optional extension of core.CDBMiner: an
+// engine that can decompose a mine into per-item tasks against one shared
+// read-only structure instead of per-task re-projection. PrepareShared
+// builds the structure and returns the task items (a nil shared value
+// means a whole-projection shortcut applies and the caller should mine
+// serially via MineEncoded); MineSharedTask mines one task, emitting the
+// task item's own pattern too, and is safe to call concurrently with
+// distinct scratches against one shared value. Recycle-FP satisfies this:
+// rebuilding a prefix tree per task destroyed the prefix sharing that
+// makes FP-growth fast, so its parallel mode builds the tree once.
 type SharedTaskMiner interface {
-	PooledEncodedMiner
+	core.CDBMiner
 	PrepareShared(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, minCount int) (shared any, tasks []dataset.Item)
 	MineSharedTask(ctx context.Context, scratch, shared any, task dataset.Item, prefix []dataset.Item, sink mining.Sink) error
 }
 
 // workerState is one CDB worker's reusable memory: the engine scratch, the
-// pooled projection buffers, a prefix buffer, and the local emission batch.
-// Owned by exactly one worker goroutine.
+// pooled projection buffers, prefix and decode buffers, and the local
+// emission batch. Owned by exactly one worker goroutine.
 type workerState struct {
-	scratch any // non-nil iff the engine is a PooledEncodedMiner
+	scratch any
 	proj    core.ProjScratch
 	prefix  []dataset.Item
+	decoded []dataset.Item
 	batch   batchSink
 }
 
-// CDBMiner mines compressed databases by fanning independent top-level
-// subtrees out to worker goroutines, each mined by Engine.
+// CDBMiner mines compressed databases by fanning independent subtrees out
+// to worker goroutines, each mined by Engine. It is itself a
+// core.CDBMiner, so it runs over any projection and prefix.
 type CDBMiner struct {
 	// Workers is the goroutine count; 0 means GOMAXPROCS.
 	Workers int
 	// Engine mines the per-task projections; nil means Recycle-HM.
-	Engine EncodedCDBMiner
+	Engine core.CDBMiner
 }
 
-// Wrap returns a parallel wrapper around engine when it supports encoded
-// projections, or engine unchanged otherwise (e.g. rp-naive). Workers
-// follows CDBMiner semantics: 0 means GOMAXPROCS.
-func Wrap(engine core.CDBMiner, workers int) core.CDBMiner {
-	if e, ok := engine.(EncodedCDBMiner); ok {
-		return CDBMiner{Workers: workers, Engine: e}
-	}
-	return engine
-}
-
-func (m CDBMiner) engine() EncodedCDBMiner {
+func (m CDBMiner) engine() core.CDBMiner {
 	if m.Engine == nil {
 		return rphmine.New()
 	}
@@ -311,115 +285,135 @@ func (m CDBMiner) engine() EncodedCDBMiner {
 // Name implements core.CDBMiner.
 func (m CDBMiner) Name() string { return "par-" + m.engine().Name() }
 
-// MineCDB implements core.CDBMiner.
-func (m CDBMiner) MineCDB(cdb *core.CDB, minCount int, sink mining.Sink) error {
-	return m.mineCDB(context.Background(), cdb, minCount, sink)
+// cdbScratch is the wrapper's reusable memory: one workerState per worker,
+// grown on demand and kept across calls.
+type cdbScratch struct {
+	states []*workerState
 }
 
-// MineCDBContext implements core.ContextCDBMiner: like MineCDB, but the
-// pool stops dispatching and in-flight workers abort promptly when ctx is
-// cancelled or times out, returning the context's error.
-func (m CDBMiner) MineCDBContext(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
-	return m.mineCDB(ctx, cdb, minCount, sink)
+// NewScratch implements core.CDBMiner: the returned value holds every
+// worker's engine scratch, projection buffers and emission batch, so calls
+// that pass it back reuse them.
+func (m CDBMiner) NewScratch() any { return &cdbScratch{} }
+
+// workers returns n worker states bound to dst for a mine at F-list width
+// width, creating missing states with fresh engine scratch.
+func (s *cdbScratch) workers(eng core.CDBMiner, n, width int, dst *lockedSink) []*workerState {
+	for len(s.states) < n {
+		s.states = append(s.states, &workerState{scratch: eng.NewScratch()})
+	}
+	for _, ws := range s.states[:n] {
+		ws.batch.dst = dst
+		if cap(ws.decoded) < width {
+			ws.decoded = make([]dataset.Item, width)
+		}
+	}
+	return s.states[:n]
 }
 
-func (m CDBMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
+// cdbRun is the read-only state one MineEncoded call shares with its tasks.
+type cdbRun struct {
+	eng    core.CDBMiner
+	states []*workerState
+	flist  *mining.FList
+	min    int
+}
+
+// MineEncoded implements core.CDBMiner: the pool stops dispatching and
+// in-flight workers abort promptly when ctx is cancelled or times out,
+// returning the context's error.
+func (m CDBMiner) MineEncoded(ctx context.Context, scratch any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
 	}
-	eng := m.engine()
-	flist := cdb.FList(minCount)
-	if flist.Len() == 0 {
-		return nil
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	blocks, loose := core.EncodeCDB(cdb, flist)
+	sc, _ := scratch.(*cdbScratch)
+	if sc == nil {
+		sc = &cdbScratch{}
+	}
+	r := &cdbRun{eng: m.engine(), flist: flist, min: minCount}
 	safe := &lockedSink{sink: sink}
 
-	n := flist.Len()
-	workers := resolveWorkers(m.Workers, n)
-	split := n < splitFactor*workers
-
-	pooled, _ := eng.(PooledEncodedMiner)
-	states := make([]*workerState, workers)
-	for i := range states {
-		ws := &workerState{batch: batchSink{dst: safe}}
-		if pooled != nil {
-			ws.scratch = pooled.NewScratch()
-		}
-		states[i] = ws
-	}
-
-	// Shared-task mode: one read-only structure, one task per top-level
-	// frequent item, no per-task re-projection. The tasks emit their own
-	// top-level patterns (supports come from the shared structure, matching
-	// the serial walk exactly).
-	if stm, ok := eng.(SharedTaskMiner); ok {
+	// Shared-task mode: one read-only structure, one task per frequent
+	// item, no per-task re-projection. The tasks emit their own patterns
+	// (supports come from the shared structure, matching the serial walk
+	// exactly).
+	if stm, ok := r.eng.(SharedTaskMiner); ok {
 		shared, tasks := stm.PrepareShared(blocks, loose, flist, minCount)
 		if shared == nil {
-			// A whole-projection shortcut applies: mine as one serial task.
-			return runPool(ctx, workers, func(p *pool) {
-				p.submit(func(c context.Context, wid int) error {
-					ws := states[wid]
-					defer ws.batch.flush()
-					return stm.MineEncodedScratch(c, ws.scratch, blocks, loose, flist, nil, minCount, &ws.batch)
-				})
-			})
+			// A whole-projection shortcut applies: mine serially.
+			ws := sc.workers(r.eng, 1, flist.Len(), safe)[0]
+			return stm.MineEncoded(ctx, ws.scratch, blocks, loose, flist, prefix, minCount, sink)
 		}
-		return runPool(ctx, workers, func(p *pool) {
-			for _, r := range tasks {
-				r := r
+		r.states = sc.workers(r.eng, resolveWorkers(m.Workers, len(tasks)), flist.Len(), safe)
+		return runPool(ctx, len(r.states), func(p *pool) {
+			for _, task := range tasks {
 				p.submit(func(c context.Context, wid int) error {
-					ws := states[wid]
+					ws := r.states[wid]
 					defer ws.batch.flush()
-					return stm.MineSharedTask(c, ws.scratch, shared, r, nil, &ws.batch)
+					return stm.MineSharedTask(c, ws.scratch, shared, task, prefix, &ws.batch)
 				})
 			}
 		})
 	}
 
-	return runPool(ctx, workers, func(p *pool) {
-		for r := 0; r < n; r++ {
-			r := r
-			p.submit(func(c context.Context, wid int) error {
-				ws := states[wid]
-				defer ws.batch.flush()
-				buf := [1]dataset.Item{flist.Items[r]}
-				ws.batch.Emit(buf[:], flist.Support[r])
-				var subBlocks []core.Block
-				var subLoose [][]dataset.Item
-				if !split && pooled != nil {
-					// The engine is done with the projection when the call
-					// returns, so it may live in the worker's scratch slab.
-					subBlocks, subLoose = ws.proj.Project(blocks, loose, dataset.Item(r))
-				} else {
-					// Split subtasks outlive this task (they run on other
-					// workers) and alias this projection's tail slices, so
-					// it must be freshly allocated.
-					subBlocks, subLoose = core.Project(blocks, loose, dataset.Item(r))
-				}
-				if len(subBlocks) == 0 && len(subLoose) == 0 {
-					return nil
-				}
-				ws.prefix = append(ws.prefix[:0], dataset.Item(r))
-				if !split {
-					if pooled != nil {
-						return pooled.MineEncodedScratch(c, ws.scratch, subBlocks, subLoose, flist, ws.prefix, minCount, &ws.batch)
-					}
-					return eng.MineEncodedContext(c, subBlocks, subLoose, flist, ws.prefix, minCount, &ws.batch)
-				}
-				return splitEncoded(c, p, eng, states, subBlocks, subLoose, flist, ws.prefix, minCount, &ws.batch)
-			})
+	counts := extensionCounts(blocks, loose, flist.Len())
+	n := 0
+	for _, c := range counts {
+		if c >= minCount {
+			n++
 		}
+	}
+	r.states = sc.workers(r.eng, resolveWorkers(m.Workers, n), flist.Len(), safe)
+	split := n < splitFactor*len(r.states)
+	return runPool(ctx, len(r.states), func(p *pool) {
+		r.fanOut(p, blocks, loose, prefix, counts, split)
 	})
 }
 
-// splitEncoded splits one top-level compressed task a level deeper,
-// mirroring splitProjected over blocks: suffix occurrences count at block
-// weight, tail and loose occurrences at one. Subtask projections outlive
-// this call, so core.Project allocates them fresh — their item data aliases
-// only the immortal root encoding.
-func splitEncoded(c context.Context, p *pool, eng EncodedCDBMiner, states []*workerState, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	counts := make([]int, flist.Len())
+// fanOut is the step the root and the depth-2 split share: for every
+// extension of prefix whose count reaches the threshold, it submits a task
+// that emits the extended pattern, projects the database on the extension
+// and mines the projection — or, when split, counts the projection and
+// fans it out once more, so skewed subtrees no longer serialize on one
+// worker.
+func (r *cdbRun) fanOut(p *pool, blocks []core.Block, loose [][]dataset.Item, prefix []dataset.Item, counts []int, split bool) {
+	for it, n := range counts {
+		if n < r.min {
+			continue
+		}
+		p.submit(func(c context.Context, wid int) error {
+			ws := r.states[wid]
+			defer ws.batch.flush()
+			ws.prefix = append(append(ws.prefix[:0], prefix...), dataset.Item(it))
+			ws.batch.Emit(r.flist.DecodeInto(ws.decoded, ws.prefix), n)
+			if !split {
+				// The engine is done with the projection when the call
+				// returns, so it may live in the worker's scratch slab.
+				sub, subLoose := ws.proj.Project(blocks, loose, dataset.Item(it))
+				if len(sub) == 0 && len(subLoose) == 0 {
+					return nil
+				}
+				return r.eng.MineEncoded(c, ws.scratch, sub, subLoose, r.flist, ws.prefix, r.min, &ws.batch)
+			}
+			// Subtasks outlive this task (they run on other workers) and
+			// alias its projection and prefix, so both are freshly
+			// allocated; their item data aliases only the caller's blocks.
+			sub, subLoose := core.Project(blocks, loose, dataset.Item(it))
+			if len(sub) > 0 || len(subLoose) > 0 {
+				r.fanOut(p, sub, subLoose, slices.Clone(ws.prefix), extensionCounts(sub, subLoose, r.flist.Len()), false)
+			}
+			return nil
+		})
+	}
+}
+
+// extensionCounts counts every ranked item of a compressed projection:
+// suffix occurrences at block weight, tail and loose occurrences at one.
+func extensionCounts(blocks []core.Block, loose [][]dataset.Item, width int) []int {
+	counts := make([]int, width)
 	for i := range blocks {
 		b := &blocks[i]
 		for _, it := range b.Suffix {
@@ -436,33 +430,7 @@ func splitEncoded(c context.Context, p *pool, eng EncodedCDBMiner, states []*wor
 			counts[it]++
 		}
 	}
-	pooled, _ := eng.(PooledEncodedMiner)
-	buf := append(append([]dataset.Item(nil), prefix...), 0)
-	decoded := make([]dataset.Item, len(buf))
-	for r2 := range counts {
-		if counts[r2] < minCount {
-			continue
-		}
-		if err := c.Err(); err != nil {
-			return err
-		}
-		buf[len(buf)-1] = dataset.Item(r2)
-		sink.Emit(flist.DecodeInto(decoded, buf), counts[r2])
-		subBlocks, subLoose := core.Project(blocks, loose, dataset.Item(r2))
-		if len(subBlocks) == 0 && len(subLoose) == 0 {
-			continue
-		}
-		subPrefix := append([]dataset.Item(nil), buf...)
-		p.submit(func(c context.Context, wid int) error {
-			ws := states[wid]
-			defer ws.batch.flush()
-			if pooled != nil {
-				return pooled.MineEncodedScratch(c, ws.scratch, subBlocks, subLoose, flist, subPrefix, minCount, &ws.batch)
-			}
-			return eng.MineEncodedContext(c, subBlocks, subLoose, flist, subPrefix, minCount, &ws.batch)
-		})
-	}
-	return nil
+	return counts
 }
 
 // resolveWorkers maps the Workers knob to an effective goroutine count:

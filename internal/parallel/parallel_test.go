@@ -1,12 +1,12 @@
 package parallel_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
-	"gogreen/internal/engine"
 	"gogreen/internal/mining"
 	"gogreen/internal/parallel"
 	"gogreen/internal/testutil"
@@ -30,7 +30,7 @@ func TestParallelCDBMatchesOracle(t *testing.T) {
 		db := testutil.RandomDB(r, 40+r.Intn(100), 6+r.Intn(12), 2+r.Intn(9))
 		fp := testutil.Oracle(t, db, 5).Slice()
 		for _, workers := range []int{0, 1, 3} {
-			rec := engine.NewRecycler(fp, core.MCP, parallel.CDBMiner{Workers: workers})
+			rec := &core.Recycler{FP: fp, Strategy: core.MCP, Engine: parallel.CDBMiner{Workers: workers}}
 			testutil.CheckAgainstOracle(t, rec, db, 2)
 		}
 	}
@@ -51,10 +51,10 @@ func TestParallelEdgeCases(t *testing.T) {
 		t.Errorf("empty db: %v", err)
 	}
 	cdb := core.Compress(dataset.New(nil), nil, core.MCP)
-	if err := (parallel.CDBMiner{}).MineCDB(cdb, 0, sink); err != mining.ErrBadMinSupport {
+	if err := core.MineCDB(context.Background(), parallel.CDBMiner{}, cdb, 0, sink); err != mining.ErrBadMinSupport {
 		t.Errorf("got %v", err)
 	}
-	if err := (parallel.CDBMiner{}).MineCDB(cdb, 1, sink); err != nil {
+	if err := core.MineCDB(context.Background(), parallel.CDBMiner{}, cdb, 1, sink); err != nil {
 		t.Errorf("empty cdb: %v", err)
 	}
 }

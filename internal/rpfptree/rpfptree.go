@@ -268,77 +268,35 @@ func (tr *tree) insert(group int32, tail []dataset.Item, count int) {
 	}
 }
 
-// MineCDB implements core.CDBMiner.
-func (Miner) MineCDB(cdb *core.CDB, minCount int, sink mining.Sink) error {
-	return mineCDB(cdb, minCount, sink, nil)
-}
+// NewScratch implements core.CDBMiner: the returned value holds the
+// engine's reusable working memory (node arena, tree pool, counting and
+// prefix buffers), for MineEncoded and MineSharedTask calls alike.
+func (Miner) NewScratch() any { return &ctx{} }
 
-// MineCDBContext implements core.ContextCDBMiner: like MineCDB, but aborts
-// promptly (checked at every conditional tree and every header item) when
-// ctx is cancelled or times out.
-func (Miner) MineCDBContext(c context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := mineCDB(cdb, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
-}
-
-func mineCDB(cdb *core.CDB, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
+// MineEncoded implements core.CDBMiner: the projected blocks become a
+// compressed conditional tree, and FP-growth checks ctx at every
+// conditional tree and every header item. A width change of the F-list
+// between calls on one scratch resets its pooled tables.
+func (Miner) MineEncoded(c context.Context, scratch any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
 	}
-	flist := cdb.FList(minCount)
-	if flist.Len() == 0 {
-		return nil
-	}
-	blocks, loose := core.EncodeCDB(cdb, flist)
-	return mineEncoded(blocks, loose, flist, nil, minCount, sink, cancel)
-}
-
-// MineEncoded mines an already rank-encoded (projected) compressed database
-// whose patterns all extend prefix (in rank space) with the Recycle-FP
-// engine: the projected blocks become a compressed conditional tree.
-func (Miner) MineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	return mineEncoded(blocks, loose, flist, prefix, minCount, sink, nil)
-}
-
-// MineEncodedContext is MineEncoded with cooperative cancellation: the
-// FP-growth recursion aborts promptly when ctx is cancelled or times out,
-// returning the context's error. Used by the parallel CDB wrapper, whose
-// workers each mine one independent projected subtree under the caller's
-// context (a Canceller is not goroutine-safe, so every subtree gets its own).
-func (Miner) MineEncodedContext(c context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	cancel := mining.NewCanceller(c, 0)
 	if err := cancel.Err(); err != nil {
 		return err
 	}
-	if err := mineEncoded(blocks, loose, flist, prefix, minCount, sink, cancel); err != nil {
-		return err
+	m, _ := scratch.(*ctx)
+	if m == nil {
+		m = &ctx{}
 	}
-	return cancel.Err()
-}
-
-// NewScratch implements the parallel wrapper's pooled-miner contract: the
-// returned value holds the engine's reusable working memory (node arena,
-// tree pool, counting and prefix buffers) and may be threaded through
-// consecutive MineEncodedScratch / MineSharedTask calls by one goroutine.
-func (Miner) NewScratch() any { return &ctx{} }
-
-// MineEncodedScratch is MineEncodedContext mining through sc's recycled
-// buffers (sc must come from NewScratch). All calls reusing one scratch
-// should pass the same F-list; a width change resets the pooled tables.
-func (Miner) MineEncodedScratch(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := mineEncodedInto(sc.(*ctx), blocks, loose, flist, prefix, minCount, sink, cancel); err != nil {
-		return err
-	}
+	m.reset(flist, minCount, sink, cancel)
+	mk := m.arena.mark()
+	tr := m.getTree()
+	buildTree(tr, blocks, loose)
+	m.growth(tr, append(m.prefix[:0], prefix...))
+	m.putTree(tr)
+	m.arena.release(mk)
+	m.sink, m.cancel = nil, nil
 	return cancel.Err()
 }
 
@@ -358,25 +316,6 @@ func buildTree(tr *tree, blocks []core.Block, loose [][]dataset.Item) {
 	for _, t := range loose {
 		tr.insert(-1, t, 1)
 	}
-}
-
-func mineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	return mineEncodedInto(&ctx{}, blocks, loose, flist, prefix, minCount, sink, cancel)
-}
-
-func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	m.reset(flist, minCount, sink, cancel)
-	mk := m.arena.mark()
-	tr := m.getTree()
-	buildTree(tr, blocks, loose)
-	m.growth(tr, append(m.prefix[:0], prefix...))
-	m.putTree(tr)
-	m.arena.release(mk)
-	m.sink, m.cancel = nil, nil
-	return nil
 }
 
 // sharedTree is the fan-out state PrepareShared hands to concurrent

@@ -1,12 +1,12 @@
 package rptreeproj_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
-	"gogreen/internal/engine"
 	"gogreen/internal/mining"
 	"gogreen/internal/rptreeproj"
 	"gogreen/internal/testutil"
@@ -18,7 +18,7 @@ func TestPaperExample(t *testing.T) {
 	db := testutil.PaperDB()
 	fp := testutil.Oracle(t, db, 3).Slice()
 	for _, strat := range []core.Strategy{core.MCP, core.MLP} {
-		rec := engine.NewRecycler(fp, strat, newEngine())
+		rec := &core.Recycler{FP: fp, Strategy: strat, Engine: newEngine()}
 		for min := 1; min <= 5; min++ {
 			testutil.CheckAgainstOracle(t, rec, db, min)
 		}
@@ -34,7 +34,7 @@ func TestRandomized(t *testing.T) {
 		oldMin := 2 + r.Intn(9)
 		fp := testutil.Oracle(t, db, oldMin).Slice()
 		for _, strat := range []core.Strategy{core.MCP, core.MLP} {
-			rec := engine.NewRecycler(fp, strat, newEngine())
+			rec := &core.Recycler{FP: fp, Strategy: strat, Engine: newEngine()}
 			for _, newMin := range []int{1, 2, oldMin - 1, oldMin + 2} {
 				if newMin < 1 {
 					continue
@@ -49,7 +49,7 @@ func TestRandomized(t *testing.T) {
 // plain pseudo-projection mining and stays exact.
 func TestNoRecycledPatterns(t *testing.T) {
 	db := testutil.PaperDB()
-	rec := engine.NewRecycler(nil, core.MCP, newEngine())
+	rec := &core.Recycler{FP: nil, Strategy: core.MCP, Engine: newEngine()}
 	testutil.CheckAgainstOracle(t, rec, db, 2)
 }
 
@@ -64,7 +64,7 @@ func TestDenseSingleGroup(t *testing.T) {
 	tx = append(tx, []dataset.Item{0, 9}, []dataset.Item{1, 9})
 	db := dataset.New(tx)
 	fp := testutil.Oracle(t, db, 40).Slice()
-	rec := engine.NewRecycler(fp, core.MCP, newEngine())
+	rec := &core.Recycler{FP: fp, Strategy: core.MCP, Engine: newEngine()}
 	testutil.CheckAgainstOracle(t, rec, db, 40)
 	testutil.CheckAgainstOracle(t, rec, db, 2)
 	testutil.CheckAgainstOracle(t, rec, db, 1)
@@ -72,7 +72,7 @@ func TestDenseSingleGroup(t *testing.T) {
 
 func TestBadMinSupport(t *testing.T) {
 	cdb := core.Compress(dataset.New(nil), nil, core.MCP)
-	err := newEngine().MineCDB(cdb, 0, mining.SinkFunc(func([]dataset.Item, int) {}))
+	err := core.MineCDB(context.Background(), newEngine(), cdb, 0, mining.SinkFunc(func([]dataset.Item, int) {}))
 	if err != mining.ErrBadMinSupport {
 		t.Errorf("got %v, want ErrBadMinSupport", err)
 	}
@@ -81,7 +81,7 @@ func TestBadMinSupport(t *testing.T) {
 func TestEmptyCDB(t *testing.T) {
 	cdb := core.Compress(dataset.New(nil), nil, core.MCP)
 	var c mining.Collector
-	if err := newEngine().MineCDB(cdb, 1, &c); err != nil {
+	if err := core.MineCDB(context.Background(), newEngine(), cdb, 1, &c); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Patterns) != 0 {
